@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -478,6 +479,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import create_server
 
+    # SIGTERM (kill, service managers) takes the Ctrl-C teardown below:
+    # the default action would kill only this process and leave the
+    # spawned workers serving.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     if args.trace_file is not None:
         from repro.obs.tracing import configure_tracing
 
@@ -503,17 +508,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             lifecycle=args.lifecycle, lifecycle_dir=args.lifecycle_dir,
         ) as pool:
             print(f"serving on http://{pool.address} with {args.workers} "
-                  f"workers  (POST /predict, /predict/bulk; Ctrl-C stops)")
+                  f"workers  (POST /predict, /predict/bulk; Ctrl-C stops)",
+                  flush=True)
             try:
                 while True:
                     time.sleep(3600)
             except KeyboardInterrupt:
-                # Repeat Ctrl-C must not abort the pool teardown mid-way
-                # (workers would leak); ignore SIGINT from here on.
-                import signal
-
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                print("\nshutting down pool")
+                _ignore_stop_signals()
+                print("\nshutting down pool", flush=True)
         return 0
     with injector:
         server = create_server(
@@ -528,14 +530,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"warning: warming {model} failed ({state}); "
                       "serving degraded")
         print(f"serving on http://{server.address}  "
-              f"(POST /predict, GET /models, GET /healthz; Ctrl-C stops)")
+              f"(POST /predict, GET /models, GET /healthz; Ctrl-C stops)",
+              flush=True)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
-            print("\nshutting down")
+            _ignore_stop_signals()
+            print("\nshutting down", flush=True)
         finally:
             server.close()
     return 0
+
+
+def _ignore_stop_signals() -> None:
+    """Let a started teardown finish: a repeated Ctrl-C or SIGTERM must
+    not abort it mid-way (pool workers would leak)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
 
 def _cmd_serve_lifecycle(args: argparse.Namespace) -> int:

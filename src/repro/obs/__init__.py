@@ -32,6 +32,7 @@ from repro.obs.logs import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SECONDS_BUCKETS,
+    PHASE_BUCKETS,
     REGISTRY,
     Counter,
     Gauge,
@@ -54,6 +55,7 @@ __all__ = [
     "REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SECONDS_BUCKETS",
+    "PHASE_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",

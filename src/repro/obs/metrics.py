@@ -40,6 +40,7 @@ __all__ = [
     "REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SECONDS_BUCKETS",
+    "PHASE_BUCKETS",
     "peak_rss_bytes",
     "render_merged",
 ]
@@ -57,6 +58,13 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 DEFAULT_SECONDS_BUCKETS: tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
     10.0, 30.0, 60.0, 120.0, 300.0,
+)
+
+#: Finer buckets (seconds) for the phases inside one request: HTTP
+#: read/parse/encode/write and micro-batch waits run in microseconds.
+PHASE_BUCKETS: tuple[float, ...] = (
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001,
+    0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
 )
 
 

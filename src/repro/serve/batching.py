@@ -45,19 +45,27 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ServeError, ServiceClosed
 from repro.faults.injector import maybe_fire
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import PHASE_BUCKETS, REGISTRY
 
 __all__ = ["BatchStats", "MicroBatcher"]
 
 _SENTINEL = object()
 
+#: One queued submission: the record, its future, its submit time.
+_Item = tuple[Mapping, Future, float]
+
 # Batching observability (docs/OBSERVABILITY.md): batch-size
-# distribution, batch/request throughput, live queue depth per batcher,
-# and supervised worker restarts.
+# distribution, per-record wait for dispatch, batch/request throughput,
+# live queue depth per batcher, and supervised worker restarts.
 _BATCH_SIZE = REGISTRY.histogram(
     "repro_batch_size",
     "Records per executed micro-batch.",
     buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+)
+_BATCH_WAIT = REGISTRY.histogram(
+    "repro_batch_wait_seconds",
+    "Per record: submit until its micro-batch is dispatched to predict_fn.",
+    buckets=PHASE_BUCKETS,
 )
 _BATCHES = REGISTRY.counter(
     "repro_batches_total",
@@ -155,7 +163,7 @@ class MicroBatcher:
         self._closed = False
         # The batch the worker currently holds outside the queue; the
         # supervisor re-queues it when the loop crashes mid-batch.
-        self._inflight: list[tuple[Mapping, Future]] = []
+        self._inflight: list[_Item] = []
         self._thread = threading.Thread(
             target=self._run, name=f"repro-serve-{name}", daemon=True
         )
@@ -174,7 +182,7 @@ class MicroBatcher:
                     f"batcher {self.name!r} queue full "
                     f"({self.max_queue} pending requests)"
                 )
-            self._items.append((record, future))
+            self._items.append((record, future, time.perf_counter()))
             depth = len(self._items)
             self._cond.notify()
         _QUEUE_DEPTH.set(depth, batcher=self.name)
@@ -245,7 +253,7 @@ class MicroBatcher:
                     ServiceClosed(f"batcher {self.name!r} closed")
                 )
 
-    def _gather(self) -> list[tuple[Mapping, Future]] | None:
+    def _gather(self) -> list[_Item] | None:
         """Sleep for the first record, then fill the batch until the
         deadline passes or ``max_batch`` is reached. None means shutdown.
 
@@ -278,7 +286,7 @@ class MicroBatcher:
                 self._cond.wait(timeout=remaining)
             return batch
 
-    def _requeue(self, inflight: list[tuple[Mapping, Future]]) -> None:
+    def _requeue(self, inflight: list[_Item]) -> None:
         """Put a crashed loop's in-flight batch back on the queue."""
         overflow: list[Future] = []
         with self._cond:
@@ -325,7 +333,11 @@ class MicroBatcher:
                     f"injected fault: batcher.crash in {self.name!r}"
                 )
             maybe_fire("batcher.latency")  # injector sleeps when it fires
-            records = [record for record, _ in batch]
+            dispatched = time.perf_counter()
+            records = []
+            for record, _, submitted in batch:
+                records.append(record)
+                _BATCH_WAIT.observe(dispatched - submitted)
             try:
                 # Coerce inside the try so a misbehaving predict_fn (wrong
                 # type, unsized result) fails this batch's waiters instead
@@ -338,11 +350,11 @@ class MicroBatcher:
                     )
             except BaseException as exc:  # propagate to every waiter
                 self._inflight = []
-                for _, future in batch:
+                for _, future, _ in batch:
                     future.set_exception(exc)
                 continue
             self._inflight = []
-            for (_, future), value in zip(batch, values):
+            for (_, future, _), value in zip(batch, values):
                 future.set_result(value)
             self.stats.record(len(batch))
             _BATCH_SIZE.observe(len(batch))

@@ -56,6 +56,8 @@ from repro.spec import ScenarioSpec, as_scenario
 __all__ = ["WorkerConfig", "ForkingServer", "worker_main"]
 
 _READY_POLL_S = 0.05
+#: How often a worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
 
 
 def _require_reuseport() -> None:
@@ -137,9 +139,11 @@ def worker_main(config: WorkerConfig) -> int:
     port with ``SO_REUSEPORT``, warms the configured models (from the
     shared artifact cache when the parent pre-trained them), drops a
     ``ready-<id>.json`` marker for the parent, then serves until
-    SIGTERM. On SIGTERM the HTTP server stops accepting, in-flight
-    batches drain through :meth:`PredictionService.close`, and the final
-    metrics snapshot is flushed so the fleet exposition stays complete.
+    SIGTERM or until the parent process is gone (a SIGKILLed parent
+    cannot reap its pool, so the workers must not outlive it). Either
+    way the HTTP server stops accepting, in-flight batches drain through
+    :meth:`PredictionService.close`, and the final metrics snapshot is
+    flushed so the fleet exposition stays complete.
     """
     # Imports happen here, inside the spawned child, so the parent can
     # construct WorkerConfig without touching numpy or the ML layer.
@@ -191,7 +195,10 @@ def worker_main(config: WorkerConfig) -> int:
     ready = metrics_dir / f"ready-{config.worker_id}.json"
     ready.write_text(json.dumps({"pid": os.getpid(), "port": server.port}))
 
-    stop.wait()
+    parent = multiprocessing.parent_process()
+    while not stop.wait(_PARENT_POLL_S):
+        if parent is not None and not parent.is_alive():
+            break
     writer.stop()
     server.close()
     return 0

@@ -45,15 +45,16 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 from urllib.parse import parse_qs
 
 from repro.errors import ReproError, ScenarioError, ServeError, ValidationError
 from repro.faults.injector import active_injector
-from repro.obs.metrics import REGISTRY, render_merged
+from repro.obs.metrics import PHASE_BUCKETS, REGISTRY, render_merged
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import PredictionService
 
@@ -107,6 +108,24 @@ _HTTP_DEPRECATED = REGISTRY.counter(
     "Requests answered through a pre-/v1 deprecation-shim path.",
     labelnames=("endpoint",),
 )
+_HTTP_PHASE = REGISTRY.histogram(
+    "repro_http_phase_seconds",
+    "Handler time per request phase: read (body off the socket), parse "
+    "(JSON/NDJSON decode), service (prediction call), encode (response "
+    "body), write (the one send).",
+    labelnames=("phase",),
+    buckets=PHASE_BUCKETS,
+)
+
+
+@contextmanager
+def _phase(name: str) -> Iterator[None]:
+    """Time the block into ``repro_http_phase_seconds{phase=name}``."""
+    t0 = perf_counter()
+    try:
+        yield
+    finally:
+        _HTTP_PHASE.observe(perf_counter() - t0, phase=name)
 
 
 def _endpoint_label(path: str) -> str:
@@ -125,11 +144,33 @@ def _float_repr(value: float) -> str:
     return repr(float(value))
 
 
+def _parse_ndjson(raw: bytes) -> list[Any]:
+    """The job objects of an NDJSON bulk body, one per non-blank line."""
+    records: list[Any] = []
+    for lineno, line in enumerate(raw.split(b"\n"), start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ServeError(f"invalid NDJSON on line {lineno}: {exc}") from None
+        if not isinstance(record, Mapping):
+            raise ServeError(f"line {lineno} must be a JSON job object")
+        records.append(record)
+    if not records:
+        raise ServeError("bulk request body has no job lines")
+    return records
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes the versioned endpoints (and their shims) onto the service."""
 
     server: "PredictionServer"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every connection. Our own responses already leave
+    #: in one send; this keeps the stdlib's two-write ``send_error``
+    #: replies (bad request line, 414, 501) from stalling on Nagle too.
+    disable_nagle_algorithm = True
 
     #: Set per request when the legacy path was used: the successor URL
     #: advertised in the deprecation headers.
@@ -147,11 +188,27 @@ class _Handler(BaseHTTPRequestHandler):
             return successor
         return path
 
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Mapping[str, str] | None = None,
+    ) -> None:
+        """Write one whole response (status line, headers, body) in one send.
+
+        Two sends per response (headers, then body) meet Nagle's
+        algorithm on this side and the client's delayed ACK on the
+        other: the body waits out the ~40 ms ACK timer on every request.
+        One write puts the response on the wire at once; ``headers`` are
+        the route's extra ``X-*`` fields.
+        """
         _HTTP_RESPONSES.inc(endpoint=_endpoint_label(self.path), status=status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         if self._successor is not None:
             self.send_header("Deprecation", "true")
             self.send_header(
@@ -159,13 +216,17 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if self.server.worker_id is not None:
             self.send_header("X-Worker", str(self.server.worker_id))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would flush the headers as a write of their own:
+        # append the blank line and the body to the stdlib's header
+        # buffer instead, so flush_headers() sends everything at once.
+        self._headers_buffer.extend((b"\r\n", body))
+        with _phase("write"):
+            self.flush_headers()
 
     def _send_json(self, status: int, payload: Mapping[str, Any]) -> None:
-        self._send_body(
-            status, json.dumps(payload).encode("utf-8"), "application/json"
-        )
+        with _phase("encode"):
+            body = json.dumps(payload).encode("utf-8")
+        self._send_body(status, body, "application/json")
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
@@ -176,13 +237,16 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeError("request body required")
         if length > _MAX_BODY_BYTES:
             raise ServeError(f"request body over {_MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length)
+        with _phase("read"):
+            return self.rfile.read(length)
 
     def _read_json(self) -> Any:
-        try:
-            return json.loads(self._read_body())
-        except json.JSONDecodeError as exc:
-            raise ServeError(f"invalid JSON body: {exc}") from None
+        raw = self._read_body()
+        with _phase("parse"):
+            try:
+                return json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ServeError(f"invalid JSON body: {exc}") from None
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
@@ -276,9 +340,10 @@ class _Handler(BaseHTTPRequestHandler):
             model = payload.get("model", "BDT")
             scenario = payload.get("scenario")
             version = payload.get("version")
-            detail = self.server.service.predict_request(
-                jobs, model=model, scenario=scenario, version=version
-            )
+            with _phase("service"):
+                detail = self.server.service.predict_request(
+                    jobs, model=model, scenario=scenario, version=version
+                )
         except _BAD_REQUEST_ERRORS as exc:
             self._send_error_json(400, str(exc))
             return
@@ -382,7 +447,12 @@ class _Handler(BaseHTTPRequestHandler):
             model = params.get("model", ["BDT"])[0]
             scenario = None
             if "scenario" in params:
-                scenario = json.loads(params["scenario"][0])
+                try:
+                    scenario = json.loads(params["scenario"][0])
+                except json.JSONDecodeError as exc:
+                    raise ServeError(
+                        f"scenario query param is not JSON: {exc}"
+                    ) from None
                 if not isinstance(scenario, Mapping):
                     raise ServeError("scenario query param must be a JSON object")
             version = None
@@ -394,27 +464,13 @@ class _Handler(BaseHTTPRequestHandler):
                         "version query param must be an integer"
                     ) from None
             raw = self._read_body()
-            records: list[Any] = []
-            for lineno, line in enumerate(raw.split(b"\n"), start=1):
-                if not line or line.isspace():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ServeError(
-                        f"invalid NDJSON on line {lineno}: {exc}"
-                    ) from None
-                if not isinstance(record, Mapping):
-                    raise ServeError(
-                        f"line {lineno} must be a JSON job object"
-                    )
-                records.append(record)
-            if not records:
-                raise ServeError("bulk request body has no job lines")
-            detail = self.server.service.predict_request(
-                records, model=model, scenario=scenario, mode="bulk",
-                version=version,
-            )
+            with _phase("parse"):
+                records = _parse_ndjson(raw)
+            with _phase("service"):
+                detail = self.server.service.predict_request(
+                    records, model=model, scenario=scenario, mode="bulk",
+                    version=version,
+                )
         except _BAD_REQUEST_ERRORS as exc:
             self._send_error_json(400, str(exc))
             return
@@ -424,27 +480,22 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # a handler thread must never die silently
             self._send_error_json(500, f"internal error: {exc}")
             return
-        body = "\n".join(
-            _float_repr(p) for p in detail.predictions
-        ).encode("ascii") + b"\n"
-        _HTTP_RESPONSES.inc(endpoint=_endpoint_label(self.path), status=200)
-        self.send_response(200)
-        self.send_header("Content-Type", NDJSON_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Model", model)
-        self.send_header("X-Served-By", detail.served_by)
-        self.send_header("X-Version", str(detail.version))
-        self.send_header("X-Degraded", "1" if detail.degraded else "0")
-        self.send_header("X-N", str(len(detail.predictions)))
-        if self._successor is not None:
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f'<{self._successor}>; rel="successor-version"'
-            )
-        if self.server.worker_id is not None:
-            self.send_header("X-Worker", str(self.server.worker_id))
-        self.end_headers()
-        self.wfile.write(body)
+        with _phase("encode"):
+            body = "\n".join(
+                _float_repr(p) for p in detail.predictions
+            ).encode("ascii") + b"\n"
+        self._send_body(
+            200,
+            body,
+            NDJSON_CONTENT_TYPE,
+            {
+                "X-Model": model,
+                "X-Served-By": detail.served_by,
+                "X-Version": str(detail.version),
+                "X-Degraded": "1" if detail.degraded else "0",
+                "X-N": str(len(detail.predictions)),
+            },
+        )
 
 
 class PredictionServer(ThreadingHTTPServer):

@@ -24,6 +24,7 @@ normalizes either style into a ``ScenarioSpec``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 from repro.errors import ScenarioError
@@ -103,13 +104,16 @@ class ScenarioSpec:
 
         return ShardConfig(**self.dataset_kwargs(), **extra)
 
-    @property
+    @cached_property
     def dataset_digest(self) -> str:
         """Content address of this scenario's dataset artifact.
 
         Identical to the pipeline cache key of the ``dataset`` stage, so
         a served model and a cached dataset built from the same scenario
-        share one identity.
+        share one identity. Computed once per instance (a served request
+        reads it several times); the cache lives in the instance
+        ``__dict__``, outside the fields, so equality, hashing and
+        :meth:`to_dict` do not see it.
         """
         from repro.pipeline.config import stage_key
 

@@ -243,6 +243,10 @@ def test_http_bulk_error_mapping(server, tiny_records):
     body = json.dumps(tiny_records[0]).encode()
     status, _, _ = _bulk(server, body, path="/predict/bulk?model=XGBoost")
     assert status == 400
+    # So does a scenario overlay that is not JSON.
+    status, _, data = _bulk(server, body, path="/predict/bulk?scenario=%7Bnope")
+    assert status == 400
+    assert "scenario" in json.loads(data)["error"]
 
 
 def test_closed_service_refuses_predicts(tiny_spec, serve_cache):

@@ -117,6 +117,26 @@ def test_dataset_digest_matches_pipeline_stage_key():
     assert ShardConfig.from_scenario(spec, backfill_depth=7).backfill_depth == 7
 
 
+def test_dataset_digest_is_computed_once_per_spec(monkeypatch):
+    from repro.pipeline import config
+
+    calls = []
+    stage_key = config.stage_key
+    monkeypatch.setattr(
+        config, "stage_key", lambda *a: calls.append(a) or stage_key(*a)
+    )
+    spec = ScenarioSpec("emmy", seed=3, num_nodes=24, horizon_days=2)
+    digests = {spec.dataset_digest for _ in range(5)}
+    assert len(digests) == 1 and len(calls) == 1
+    # The cached value is invisible to equality, hashing and to_dict.
+    fresh = ScenarioSpec("emmy", seed=3, num_nodes=24, horizon_days=2)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert spec.to_dict() == fresh.to_dict()
+    assert "dataset_digest" not in spec.to_dict()
+    assert fresh.dataset_digest == digests.pop()
+    assert spec.replace(seed=4).dataset_digest != spec.dataset_digest
+
+
 def test_facade_generate_dataset_matches_legacy_style():
     import repro
     from repro.telemetry import generate_dataset as legacy

@@ -18,7 +18,8 @@ by docs/LIFECYCLE.md; that the incident-benchmark surface
 (``repro.incidents.__all__``) is covered by docs/INCIDENTS.md; and that
 the heterogeneous-scenario catalog (every registered system, every
 evaluation track, every exit-code constant) is covered by
-docs/SCENARIOS.md. Run via ``make docs-check``.
+docs/SCENARIOS.md; and that every metric the package registers is in
+the docs/OBSERVABILITY.md catalog. Run via ``make docs-check``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,30 @@ def check_obs_doc() -> list[str]:
     text = OBS_DOC.read_text()
     module = importlib.import_module("repro.obs")
     return [name for name in module.__all__ if name not in text]
+
+
+def check_metric_catalog() -> list[str]:
+    """Every metric the package registers must be in the catalog.
+
+    Metrics register at import, so every ``repro`` module is imported
+    first; a name absent from docs/OBSERVABILITY.md (in backticks, with
+    or without its label set) is a metric an operator cannot look up.
+    """
+    import pkgutil
+
+    import repro
+    from repro.obs.metrics import REGISTRY
+
+    if not OBS_DOC.is_file():
+        return ["docs/OBSERVABILITY.md is missing entirely"]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    text = OBS_DOC.read_text()
+    return [
+        entry["name"] for entry in REGISTRY.describe()
+        if f"`{entry['name']}`" not in text and f"`{entry['name']}{{" not in text
+    ]
 
 
 def check_architecture_doc() -> list[str]:
@@ -180,6 +205,8 @@ def main() -> int:
         problems.append(f"absent from docs/FAULTS.md: repro.faults.{name}")
     for name in check_obs_doc():
         problems.append(f"absent from docs/OBSERVABILITY.md: repro.obs.{name}")
+    for name in check_metric_catalog():
+        problems.append(f"metric absent from docs/OBSERVABILITY.md: {name}")
     for name in check_architecture_doc():
         problems.append(f"absent from docs/ARCHITECTURE.md: repro.{name}")
     for name in check_service_doc():
