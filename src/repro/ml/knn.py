@@ -28,8 +28,10 @@ class KNNRegressor(Estimator):
         Distance contribution of a categorical mismatch (in units of
         standardized numeric distance).
     chunk_size:
-        Validation rows processed per distance-matrix block, bounding
-        memory to ``chunk_size × n_train`` floats.
+        Distinct query rows processed per distance-matrix block, bounding
+        memory to ``chunk_size × n_train`` floats. :meth:`predict`
+        computes one distance row per *distinct* query row, so its cost
+        is distinct query rows × training rows.
     """
 
     def __init__(
@@ -91,22 +93,16 @@ class KNNRegressor(Estimator):
             )
         k = min(self.k, len(self._y))
         train_num = self._X[:, self._numeric] / self._scale
+        train_sq = (train_num * train_num).sum(axis=1)
         train_cat = self._X[:, self._cat]
-        out = np.empty(X.shape[0])
-        for lo in range(0, X.shape[0], self.chunk_size):
-            hi = min(lo + self.chunk_size, X.shape[0])
-            q_num = X[lo:hi, self._numeric] / self._scale
-            # Squared euclidean over standardized numerics.
-            d2 = (
-                (q_num * q_num).sum(axis=1)[:, None]
-                + (train_num * train_num).sum(axis=1)[None, :]
-                - 2.0 * q_num @ train_num.T
-            )
-            if len(self._cat):
-                q_cat = X[lo:hi, self._cat]
-                mism = (q_cat[:, None, :] != train_cat[None, :, :]).sum(axis=2)
-                d2 = d2 + (self.categorical_weight**2) * mism
-            d2 = np.maximum(d2, 0.0)
+        # A row's neighbours depend only on its own distance row, and equal
+        # query rows give equal distance rows: predict each distinct row
+        # once and scatter the results back.
+        uniq, inverse = np.unique(X, axis=0, return_inverse=True)
+        out = np.empty(len(uniq))
+        for lo in range(0, len(uniq), self.chunk_size):
+            hi = min(lo + self.chunk_size, len(uniq))
+            d2 = self._distances(uniq[lo:hi], train_num, train_sq, train_cat)
             nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
             rows = np.arange(hi - lo)[:, None]
             if self.weighting == "uniform":
@@ -115,4 +111,29 @@ class KNNRegressor(Estimator):
                 ndist = np.sqrt(d2[rows, nn])
                 weights = 1.0 / (ndist + 1e-9)
                 out[lo:hi] = (self._y[nn] * weights).sum(axis=1) / weights.sum(axis=1)
-        return out
+        return out[inverse.reshape(-1)]
+
+    def _distances(
+        self,
+        q: np.ndarray,
+        train_num: np.ndarray,
+        train_sq: np.ndarray,
+        train_cat: np.ndarray,
+    ) -> np.ndarray:
+        """Squared distances from the query rows ``q`` to every training row."""
+        q_num = q[:, self._numeric] / self._scale
+        # numpy hands a one-row product to BLAS gemv, which rounds apart
+        # from the gemm every larger block gets; doubling a lone row keeps
+        # each row's distances independent of the block it lands in.
+        lhs = 2.0 * q_num if len(q) > 1 else np.repeat(2.0 * q_num, 2, axis=0)
+        # Squared euclidean over standardized numerics.
+        d2 = (
+            (q_num * q_num).sum(axis=1)[:, None]
+            + train_sq[None, :]
+            - (lhs @ train_num.T)[: len(q)]
+        )
+        if len(self._cat):
+            q_cat = q[:, self._cat]
+            mism = (q_cat[:, None, :] != train_cat[None, :, :]).sum(axis=2)
+            d2 = d2 + (self.categorical_weight**2) * mism
+        return np.maximum(d2, 0.0)

@@ -50,7 +50,7 @@ class TestKNN:
         y = rng.random(200)
         a = KNNRegressor(k=5, chunk_size=7).fit(X, y).predict(X)
         b = KNNRegressor(k=5, chunk_size=512).fit(X, y).predict(X)
-        np.testing.assert_allclose(a, b)
+        np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
         with pytest.raises(ModelError):
