@@ -22,8 +22,11 @@ bench:               ## measure the hot path, rewrite BENCH_dataset.json
 bench-check:         ## CI gate: fail on >25% throughput regression
 	$(PYTHON) tools/perf_check.py --check
 
-bench-smoke:         ## one cheap benchmark end-to-end (cache-backed fixtures)
-	$(PYTHON) -m pytest benchmarks/bench_table2_correlation.py -q
+bench-smoke:         ## T2 plus the Fig 14/15 prediction claims (BDT beats
+                     ## KNN beats FLDA) end-to-end, cache-backed fixtures
+	$(PYTHON) -m pytest benchmarks/bench_table2_correlation.py \
+		benchmarks/bench_fig14_prediction.py \
+		benchmarks/bench_fig15_user_error.py -q
 
 serve-bench:         ## measure the serving hot path, rewrite BENCH_serve.json
 	$(PYTHON) tools/serve_bench.py --update

@@ -32,7 +32,7 @@ import numpy as np
 from repro.cluster.specs import SystemSpec, get_spec
 from repro.cluster.system import Cluster
 from repro.cluster.variability import VariabilityModel
-from repro.errors import TelemetryError
+from repro.errors import ClusterError, TelemetryError
 from repro.frames import Table
 from repro.rng import RngFactory
 from repro.scheduler import accounting_table, simulate
@@ -382,11 +382,12 @@ def _models_failures(system: str) -> bool:
 
     Keyed on the registered spec's workload profile — the ML and mixed
     catalogs model failures (docs/SCENARIOS.md); unregistered ad-hoc
-    system names behave like the paper's CPU systems.
+    system names (the :class:`ClusterError` of :func:`get_spec`) behave
+    like the paper's CPU systems; any other error propagates.
     """
     try:
         return get_spec(system).workload_profile != "hpc"
-    except Exception:  # noqa: BLE001 — unknown system ⇒ legacy columns
+    except ClusterError:
         return False
 
 

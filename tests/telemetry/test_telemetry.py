@@ -7,6 +7,7 @@ from repro.cluster import Cluster
 from repro.errors import SchemaError, TelemetryError
 from repro.scheduler.job import ScheduledJob
 from repro.telemetry import JobPowerTrace, PowerSampler, generate_dataset
+from repro.telemetry import dataset as telemetry_dataset
 from repro.telemetry.schema import (
     JOB_COLUMNS,
     load_jobs_csv,
@@ -204,3 +205,23 @@ class TestSchema:
 
     def test_all_schema_columns_documented(self):
         assert set(JOB_COLUMNS) >= {"job_id", "user", "app", "pernode_power_w"}
+
+
+class TestModelsFailures:
+    """Which systems get the ``exit_code``/``failed`` columns."""
+
+    def test_registered_profiles(self):
+        assert not telemetry_dataset._models_failures("emmy")
+        assert telemetry_dataset._models_failures("alex")
+        assert telemetry_dataset._models_failures("woody")
+
+    def test_unregistered_system_gets_legacy_columns(self):
+        assert not telemetry_dataset._models_failures("no-such-cluster")
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(name):
+            raise RuntimeError("registry unavailable")
+
+        monkeypatch.setattr(telemetry_dataset, "get_spec", broken)
+        with pytest.raises(RuntimeError, match="registry unavailable"):
+            telemetry_dataset._models_failures("emmy")
